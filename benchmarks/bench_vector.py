@@ -15,10 +15,13 @@ The workload grid deliberately spans both regimes (see
   per-cycle fixed cost regardless of activity, while the vector engine
   touches only active nodes plus one vectorized link pass; this is
   where the >=10x speedups live;
-* **saturated traffic** (``lambda = 1`` random) — both engines are
-  bound by per-hop routing-plan construction, which they share, so the
-  gap narrows to ~1.5-3x.  Those rows are included honestly; they are
-  the reason ``auto`` does not pick ``vector``.
+* **saturated traffic** (``lambda = 1`` random) — the gap is smaller
+  than on sparse traffic (8.8x on hypercube n=10 in
+  ``BENCH_vector.json``) because both engines now spend most of a
+  cycle moving packets, not skipping idle nodes.  ``auto`` does not
+  pick ``vector`` for capability reasons, not speed: the vector
+  engine rejects fault observers and tracing (the engine matrix in
+  ``docs/ARCHITECTURE.md``).
 
 Both engines share their warm plan state across repeats (compiled via
 ``plan_cache=``, vector via ``tables=``, the

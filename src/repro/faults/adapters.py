@@ -310,6 +310,11 @@ class _FaultGatedKernel(HopKernel):
             return None
         return self.inner.injection_row(ui, dst_i, sid)
 
+    def central_rows(self, qids, dsts, sids):
+        if not self._healthy():
+            return None
+        return self.inner.central_rows(qids, dsts, sids)
+
 
 class FaultInjector:
     """Engine observer that replays a :class:`FaultSchedule`.

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from ..core.hops import TableHopKernel
+import numpy as np
+
+from ..core.hops import NO_CANDIDATE, TableHopKernel
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.hypercube import Hypercube
@@ -205,6 +207,9 @@ class _HypercubeKernel(TableHopKernel):
             range(len(layout.nodes))
         ):
             self.ok = False
+        # Batched form: port p is dimension p.
+        self.n_ports = alg.n
+        self._bits = np.int64(1) << np.arange(alg.n, dtype=np.int64)
 
     def candidates(self, qid: int, dst: int, sid: int):
         u = qid >> 1
@@ -239,6 +244,42 @@ class _HypercubeKernel(TableHopKernel):
             st.append((((u ^ low) << 1) | 1, sid))
             diffs ^= low
         return tuple(st), ()
+
+    def batch_ports(self, src, dst):
+        return np.log2(src ^ dst).astype(np.int64)
+
+    def batch_local(self, qids, dsts):
+        u = qids >> 1
+        switch = ((qids & 1) == 0) & (dsts & ~u == 0)  # no 0 left to fix
+        return np.where(
+            u == dsts, -1, np.where(switch, qids | 1, NO_CANDIDATE)
+        )
+
+    def batch_candidates(self, qids, dsts):
+        u = qids >> 1
+        phase = qids & 1
+        in_a = phase == 0
+        diffs = u ^ dsts
+        zeros = dsts & ~u
+        static = np.where(in_a, zeros, diffs)
+        if self.oblivious:  # lowest eligible dimension only
+            static &= -static
+        bits = self._bits
+        nbr = u[:, None] ^ bits
+        n = len(bits)
+        cq = np.empty((len(qids), 1 + 2 * n), dtype=np.int64)
+        cq[:, 0] = self.batch_local(qids, dsts)
+        cq[:, 1 : 1 + n] = np.where(
+            static[:, None] & bits, (nbr << 1) | phase[:, None], NO_CANDIDATE
+        )
+        if self.adaptive:  # phase A may also clear a 1 while 0s remain
+            dynamic = np.where(in_a & (zeros != 0), diffs & u, 0)
+            cq[:, 1 + n :] = np.where(
+                dynamic[:, None] & bits, nbr << 1, NO_CANDIDATE
+            )
+        else:
+            cq[:, 1 + n :] = NO_CANDIDATE
+        return cq
 
     def inject_candidates(self, ui: int, dst: int, sid: int):
         if ~ui & dst & self.mask:

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.hops import TableHopKernel
+import numpy as np
+
+from ..core.hops import NO_CANDIDATE, TableHopKernel
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import RoutingAlgorithm
 from ..topology.mesh import Coord, Mesh, Mesh2D
@@ -170,6 +172,12 @@ class _MeshKernel(TableHopKernel):
         self.oblivious = oblivious
         if self.kinds != (QA, QB):
             self.ok = False
+        # Batched form: port 2i steps up dimension i, port 2i+1 down.
+        self.n_ports = 2 * self.k
+        self._coords = np.asarray(layout.nodes, dtype=np.int64).reshape(
+            -1, self.k
+        )
+        self._strides = np.asarray(strides, dtype=np.int64)
 
     def candidates(self, qid: int, dst_i: int, sid: int):
         ui = qid >> 1
@@ -199,6 +207,52 @@ class _MeshKernel(TableHopKernel):
         if self.oblivious and len(st) > 1:
             st = [min(st)]
         return tuple(st), ()
+
+    def batch_ports(self, src, dst):
+        delta = self._coords[dst] - self._coords[src]
+        dim = np.argmax(delta != 0, axis=1)
+        return 2 * dim + (delta[np.arange(len(dim)), dim] < 0)
+
+    def batch_local(self, qids, dsts):
+        ui = qids >> 1
+        in_a = (qids & 1) == 0
+        no_up = ~(self._coords[dsts] > self._coords[ui]).any(axis=1)
+        return np.where(
+            ui == dsts,
+            -1,  # deliver
+            np.where(in_a & no_up, qids | 1, NO_CANDIDATE),
+        )
+
+    def batch_candidates(self, qids, dsts):
+        ui = qids >> 1
+        u = self._coords[ui]
+        d = self._coords[dsts]
+        up = d > u
+        down = d < u
+        in_a = (qids & 1) == 0
+        has_up = up.any(axis=1)
+        st_up = up & in_a[:, None]
+        st_down = down & ~in_a[:, None]
+        if self.oblivious:
+            # Lowest neighbor index: the last up-dimension (smallest
+            # stride) in phase A, the first down-dimension in phase B.
+            st_up &= np.cumsum(st_up[:, ::-1], axis=1)[:, ::-1] == 1
+            st_down &= np.cumsum(st_down, axis=1) == 1
+        fwd = (ui[:, None] + self._strides) << 1
+        back = (ui[:, None] - self._strides) << 1
+        static = np.stack(
+            (
+                np.where(st_up, fwd, NO_CANDIDATE),
+                np.where(st_down, back | 1, NO_CANDIDATE),
+            ),
+            axis=2,
+        ).reshape(len(qids), -1)
+        dynamic = np.full(static.shape, NO_CANDIDATE)
+        if self.adaptive:
+            dy = down & (in_a & has_up)[:, None]
+            dynamic[:, 1::2] = np.where(dy, back, NO_CANDIDATE)
+        local = self.batch_local(qids, dsts)
+        return np.concatenate((local[:, None], static, dynamic), axis=1)
 
     def inject_candidates(self, ui: int, dst_i: int, sid: int):
         nodes = self.t.nodes

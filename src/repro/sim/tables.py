@@ -34,6 +34,13 @@ compiled engine trusts):
 * :meth:`injection_row` — resolved injection targets in the reference
   engine's ``sorted(targets)`` order.
 
+The batched engine reads central rows by *row id* through
+:meth:`central_rids`, which builds all of a call's missing rows at once
+through the kernel's batched ``central_rows`` when it has one (the
+hypercube and mesh kernels) and packs them straight into the row
+arrays, without memo entries; other kernels decline and the misses are
+built one at a time.
+
 Rows contain only ints, so the engine's per-message work is integer
 compares and array indexing; identity with the reference engine is
 established by ``tests/test_sim_vector.py``.
@@ -202,7 +209,12 @@ class RoutingTables:
 
     @property
     def size(self) -> int:
-        """Total number of memoized rows (all three tables)."""
+        """Rows built so far: memoized rows of all three tables plus
+        central rows the kernel built in batches (which have no memo
+        entry; their entry fold lives in ``row_entq``/``row_entst``)."""
+        return self._memo_entries() + self._batch_rows
+
+    def _memo_entries(self) -> int:
         return len(self._central) + len(self._entry) + len(self._inject)
 
     # ------------------------------------------------------------------
@@ -221,6 +233,8 @@ class RoutingTables:
         cap = 256
         width = 4
         self._row_n = 0
+        #: Central rows packed by the kernel's batched ``central_rows``.
+        self._batch_rows = 0
         self.row_slots = np.full((cap, width), self.n_slots, dtype=np.int64)
         self.row_queues = np.full((cap, width), -1, dtype=np.int64)
         self.row_states = np.zeros((cap, width), dtype=np.int64)
@@ -250,9 +264,12 @@ class RoutingTables:
         """Number of central rows packed into the rid arrays."""
         return self._row_n
 
-    def _grow_rows(self, width: int) -> None:
+    def _grow_rows(self, width: int, rows: int = 1) -> None:
+        """Make room for ``rows`` more rows of up to ``width`` candidates."""
         cap, w = self.row_slots.shape
-        new_cap = cap if self._row_n < cap else cap * 2
+        new_cap = cap
+        while new_cap < self._row_n + rows:
+            new_cap *= 2
         new_w = w
         while new_w < width:
             new_w *= 2
@@ -327,32 +344,78 @@ class RoutingTables:
     ) -> np.ndarray:
         """Vectorized :meth:`central_rid`.
 
-        One numpy gather + a python miss loop in dense row-id mode; an
-        all-python loop in dict mode (networks past the dense ceiling),
-        where the candidate-selection math downstream still vectorizes.
+        One numpy gather (dense row-id mode) or one dict probe per key
+        (dict mode, networks past the dense ceiling).  All misses of
+        the call go to the kernel's batched ``central_rows`` at once;
+        if it declines, they are built one at a time by
+        :meth:`central_rid`.
         """
         tab = self._rowid_dense
         if tab is None:
             get = self._rowid_map.get
-            out = np.empty(len(qids), dtype=np.int64)
-            for i in range(len(qids)):
-                key = (int(qids[i]), int(dsts[i]), int(sids[i]))
-                rid = get(key, -1)
-                if rid < 0:
-                    rid = self.central_rid(*key)
-                out[i] = rid
-            return out
-        if len(self.states) > tab.shape[2]:
-            self._grow_rowid_states(len(self.states) - 1)
-            tab = self._rowid_dense
-        rids = tab[qids, dsts, sids]
+            keys = list(zip(qids.tolist(), dsts.tolist(), sids.tolist()))
+            rids = np.fromiter(
+                (get(k, -1) for k in keys), dtype=np.int64, count=len(keys)
+            )
+        else:
+            if len(self.states) > tab.shape[2]:
+                self._grow_rowid_states(len(self.states) - 1)
+                tab = self._rowid_dense
+            rids = tab[qids, dsts, sids]
         misses = np.flatnonzero(rids < 0)
         if misses.size:
-            for i in misses.tolist():
-                rids[i] = self.central_rid(
-                    int(qids[i]), int(dsts[i]), int(sids[i])
-                )
+            if not self._pack_batch(qids, dsts, sids, rids, misses):
+                for i in misses.tolist():
+                    rids[i] = self.central_rid(
+                        int(qids[i]), int(dsts[i]), int(sids[i])
+                    )
         return rids
+
+    def _pack_batch(self, qids, dsts, sids, rids, misses) -> bool:
+        """Build and pack the rows of ``misses`` with the kernel's
+        batched ``central_rows``; fill their ``rids``.  False if there
+        is no batched kernel or it declines."""
+        if self.kernel is None:
+            return False
+        mq = qids[misses]
+        md = dsts[misses]
+        ms = sids[misses]
+        key = (mq * len(self.nodes) + md) * (int(ms.max()) + 1) + ms
+        _, first, inverse = np.unique(
+            key, return_index=True, return_inverse=True
+        )
+        uq = mq[first]
+        ud = md[first]
+        us = ms[first]
+        built = self.kernel.central_rows(uq, ud, us)
+        if built is None:
+            return False
+        slots, queues, states, dyn, entq, entst, internal = built
+        m, width = slots.shape
+        if self._row_n + m > self.row_slots.shape[0] or (
+            width > self.row_slots.shape[1]
+        ):
+            self._grow_rows(width, m)
+        r0 = self._row_n
+        new = slice(r0, r0 + m)
+        self.row_slots[new, :width] = slots
+        self.row_queues[new, :width] = queues
+        self.row_states[new, :width] = states
+        self.row_dyn[new, :width] = dyn
+        self.row_entq[new, :width] = entq
+        self.row_entst[new, :width] = entst
+        self.row_hasint[new] = [1 if steps else 0 for steps in internal]
+        self.row_internal.extend(internal)
+        self._row_n = r0 + m
+        self._batch_rows += m
+        new_rids = np.arange(r0, r0 + m, dtype=np.int64)
+        if self._rowid_dense is not None:
+            self._rowid_dense[uq, ud, us] = new_rids
+        else:
+            keys = zip(uq.tolist(), ud.tolist(), us.tolist())
+            self._rowid_map.update(zip(keys, range(r0, r0 + m)))
+        rids[misses] = new_rids[inverse]
+        return True
 
     def clear_rows(self) -> None:
         """Drop every memoized/packed row (structure + kernel stay).
@@ -376,7 +439,8 @@ class RoutingTables:
 
         Numpy arrays are counted exactly; the per-entry cost of the
         three memo dicts (key tuple + value tuples) is estimated at a
-        flat 200 bytes.
+        flat 200 bytes, for the entries that exist (batched rows have
+        none).
         """
         total = (
             self.row_slots.nbytes
@@ -391,7 +455,7 @@ class RoutingTables:
             total += self._rowid_dense.nbytes
         else:
             total += 100 * len(self._rowid_map)
-        total += 200 * self.size
+        total += 200 * self._memo_entries()
         return total
 
     # ------------------------------------------------------------------

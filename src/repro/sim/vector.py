@@ -9,10 +9,11 @@ all three phases of the cycle have batched numpy forms:
 
 * the **fill phase** sweeps all busy nodes at once, one
   ``(position, queue-kind)`` step at a time: a single
-  :meth:`~repro.sim.tables.RoutingTables.central_rids` gather maps
-  every node's candidate message to its packed hop row, and a
-  per-row argmax over output-buffer freeness performs the greedy
-  matching for the whole network in a handful of array ops;
+  :meth:`~repro.sim.tables.RoutingTables.central_rids` call per cycle
+  maps every waiting message to its packed hop row (building the
+  missing rows in one batch), and per step a per-row argmax over
+  output-buffer freeness performs the greedy matching for the whole
+  network in a handful of array ops;
 * the **read phase** ranks every occupied input/injection buffer with
   one ``lexsort`` and admits per-queue prefixes against capacity;
 * the **link cycle** moves whole class-groups of links per operation.
@@ -369,10 +370,29 @@ class VectorSimulator:
         rotating = self.policy == "rotating"
 
         qbase = busy * nk
-        lens = qlen[
-            (qbase[:, None] + np.arange(nk)).ravel()
-        ].reshape(-1, nk)
+        qgrid = qbase[:, None] + np.arange(nk)
+        lens = qlen[qgrid]
         maxlen = int(lens.max())
+        # Every waiting message is visited once by the sweep below and
+        # nothing in the sweep changes the key of a message still
+        # waiting, so all rows are looked up (and missing ones built)
+        # in one call up front.
+        msgs = qbuf[qgrid, :maxlen]
+        present = np.arange(maxlen) < lens[:, :, None]
+        held = msgs[present]
+        rid_grid = np.empty(msgs.shape, dtype=np.int64)
+        rid_grid[present] = central_rids(
+            np.repeat(qgrid.ravel(), lens.ravel()), mdst[held], mstate[held]
+        )
+        # Fetch the packed arrays after the lookup: building rows can
+        # grow (reallocate) them.
+        row_slots = t.row_slots
+        row_queues = t.row_queues
+        row_states = t.row_states
+        row_dyn = t.row_dyn
+        row_entq = t.row_entq
+        row_entst = t.row_entst
+        row_hasint = t.row_hasint
         positions = (
             range(maxlen)
             if self.service == "fifo"
@@ -386,17 +406,8 @@ class VectorSimulator:
                 if not sel.size:
                     continue
                 q_sel = qbase[sel] + r
-                mis = qbuf[q_sel, pos]
-                rids = central_rids(q_sel, mdst[mis], mstate[mis])
-                # Re-fetch the packed arrays each step: a memo miss
-                # inside central_rids can grow (reallocate) them.
-                row_slots = t.row_slots
-                row_queues = t.row_queues
-                row_states = t.row_states
-                row_dyn = t.row_dyn
-                row_entq = t.row_entq
-                row_entst = t.row_entst
-                row_hasint = t.row_hasint
+                mis = msgs[sel, r, pos]
+                rids = rid_grid[sel, r, pos]
                 cand = row_slots[rids]
                 free = out[cand] == -1
                 got = free.any(axis=1)
