@@ -1,11 +1,11 @@
-"""Engine micro-benchmark: node-cycles/s, reference vs compiled vs fast.
+"""Engine micro-benchmark: node-cycles/s, reference vs compiled vs vector.
 
 Measures the three engines on the same saturated random-traffic
 workload (dynamic injection at ``lambda = 1``) for the hypercube, the
 2-D mesh, and the shuffle-exchange, and writes the measurements — plus
 the compiled/reference speedups — to ``BENCH_engine.json`` at the repo
 root.  The engines are packet-for-packet identical
-(``tests/test_sim_compiled.py`` / ``tests/test_sim_fastcube.py``), so
+(``tests/test_sim_compiled.py`` / ``tests/test_sim_vector.py``), so
 throughput is the only thing that can differ.
 
 Run standalone (writes the JSON)::
@@ -45,7 +45,7 @@ WORKLOADS = [
         "hypercube-n6",
         lambda: Hypercube(6),
         HypercubeAdaptiveRouting,
-        ("reference", "compiled", "fast"),
+        ("reference", "compiled", "vector"),
     ),
     (
         "mesh-8x8",
@@ -106,8 +106,10 @@ def collect(cycles=CYCLES, repeats=REPEATS) -> dict:
             entry["compiled_speedup"] = round(
                 row["compiled"] / row["reference"], 2
             )
-        if "fast" in row:
-            entry["fast_speedup"] = round(row["fast"] / row["reference"], 2)
+        if "vector" in row:
+            entry["vector_speedup"] = round(
+                row["vector"] / row["reference"], 2
+            )
         out[key] = entry
     return out
 

@@ -18,9 +18,10 @@ The workload grid deliberately spans both regimes (see
 * **saturated traffic** (``lambda = 1`` random) — the gap is smaller
   than on sparse traffic (8.8x on hypercube n=10 in
   ``BENCH_vector.json``) because both engines now spend most of a
-  cycle moving packets, not skipping idle nodes.  ``auto`` does not
-  pick ``vector`` for capability reasons, not speed: the vector
-  engine rejects fault observers and tracing (the engine matrix in
+  cycle moving packets, not skipping idle nodes.  ``auto`` picks
+  ``vector`` only for the hypercube two-phase algorithms, for
+  capability reasons, not speed: the vector engine rejects fault
+  observers and tracing (the engine matrix in
   ``docs/ARCHITECTURE.md``).
 
 Both engines share their warm plan state across repeats (compiled via

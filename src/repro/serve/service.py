@@ -4,8 +4,8 @@
 
 * the engine comes from the existing
   :func:`~repro.experiments.runner.build_simulator` factory — the
-  service never re-implements engine selection, it only *narrows* it
-  (see :data:`~repro.serve.scenario.SERVE_ENGINES`);
+  service never re-implements engine selection, and every engine can
+  serve (see :data:`~repro.serve.scenario.SERVE_ENGINES`);
 * injection is the scenario's :class:`~repro.serve.workloads.\
   OpenLoopInjection` model, so the engine's own ``run()`` loop does the
   stepping and the per-engine finalization (result construction, probe
@@ -20,10 +20,8 @@
   delivers — the final snapshot therefore always satisfies
   ``injected == delivered`` (checked by ``tests/test_serve_service.py``).
 
-Engines that cannot serve are refused loudly (the repo-wide policy):
-``fast`` has no observer hook for the live probe, and ``sharded``
-replays injection models inside worker processes where the service's
-drain signal and tick callbacks cannot reach — see docs/SERVING.md.
+Engine names outside :data:`~repro.serve.scenario.SERVE_ENGINES` are
+refused loudly (the repo-wide policy) — see docs/SERVING.md.
 
 Determinism (record mode): with ``service.record: true`` the probe
 keeps the full event log, and identical scenario + seed + cycle budget
@@ -60,23 +58,6 @@ EXIT_ENGINE_ERROR = 4
 def _reject_unservable_engine(engine: str) -> None:
     if engine in SERVE_ENGINES:
         return
-    if engine == "fast":
-        raise EngineCapabilityError(
-            "engine='fast' cannot serve: the service's live telemetry "
-            "probe needs an observer hook, which the fast engine "
-            "deliberately lacks. Use engine='vector' for throughput or "
-            "'compiled' for full observability (docs/SERVING.md, "
-            "'Engines')."
-        )
-    if engine == "sharded":
-        raise EngineCapabilityError(
-            "engine='sharded' cannot serve: shard workers replay the "
-            "injection model in their own processes, where the "
-            "service's drain signal and tick callbacks cannot reach. "
-            "Use engine='vector' (the same kernel, single-process) — "
-            "see docs/SHARDING.md 'Capability limits' and "
-            "docs/SERVING.md."
-        )
     raise EngineCapabilityError(
         f"engine={engine!r} is not a serve engine; expected one of "
         f"{SERVE_ENGINES} (docs/SERVING.md)"

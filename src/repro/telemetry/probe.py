@@ -2,7 +2,8 @@
 
 :class:`TelemetryProbe` plugs into any engine exposing the
 ``add_observer`` interface (the reference and compiled simulators; the
-specialized fast engine deliberately has no observer loop) and
+vector engine accepts probes but drives them from its own buffered
+event columns) and
 
 * installs an event sink (``sim._events``) the engine feeds raw event
   tuples through — a full :class:`~repro.telemetry.events.EventLog`

@@ -117,13 +117,10 @@ def test_cli_telemetry_artifacts(tmp_path, capsys):
         ["table", "2", "--ns", "3", "--workers", "0"],
         ["table", "2", "--ns", "3", "--workers", "-2"],
         ["faults", "--size", "3", "--workers", "0"],
-        ["telemetry", "--shards", "0"],
-        ["telemetry", "--shards", "-1"],
-        ["telemetry", "--shards", "two"],
     ],
 )
 def test_cli_rejects_nonpositive_worker_counts(argv, capsys):
-    """--workers/--shards must be >= 1; argparse exits 2 otherwise."""
+    """--workers must be >= 1; argparse exits 2 otherwise."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -131,15 +128,17 @@ def test_cli_rejects_nonpositive_worker_counts(argv, capsys):
     assert "positive integer" in err or "not an integer" in err
 
 
-def test_cli_telemetry_sharded_engine(tmp_path, capsys):
+def test_cli_telemetry_all_engines(tmp_path, capsys):
     out = tmp_path / "tele"
-    assert main(["telemetry", "--n", "3", "--engine", "sharded",
-                 "--shards", "2", "--out", str(out)]) == 0
+    assert main(["telemetry", "--n", "3", "--engine", "all",
+                 "--out", str(out)]) == 0
     text = capsys.readouterr().out
-    assert "[sharded]" in text
-    assert (out / "sharded-events.jsonl").read_text()
-    prom = (out / "sharded-metrics.prom").read_text()
-    assert "repro_shard_count" in prom
+    assert "byte-identical across engines: yes" in text
+    logs = [
+        (out / f"{engine}-events.jsonl").read_bytes()
+        for engine in ("reference", "compiled", "vector")
+    ]
+    assert logs[0] and logs[0] == logs[1] == logs[2]
 
 
 def test_cli_telemetry_single_engine_with_faults(tmp_path, capsys):
@@ -273,10 +272,3 @@ def test_cli_serve_runs_and_records(tmp_path, capsys):
     assert "drained at cycle" in out
     assert (out_dir / "events.jsonl").exists()
     assert (out_dir / "metrics.prom").exists()
-
-
-def test_cli_serve_refuses_sharded_engine(tmp_path, capsys):
-    rc = main(["serve", _scenario_file(tmp_path), "--engine", "sharded"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "cannot serve" in err and "SHARDING" in err

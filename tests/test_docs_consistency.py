@@ -119,8 +119,8 @@ def _yn(cell):
 
 
 def test_engine_error_matrix_matches_architecture():
-    """The abbreviated capability matrix embedded in
-    ``EngineCapabilityError`` messages (``runner.ENGINE_MATRIX``) must
+    """The abbreviated capability matrix embedded in engine-selection
+    errors (``runner.ENGINE_MATRIX``) must
     agree with the canonical table in docs/ARCHITECTURE.md: same set of
     concrete engines, same fault/observer/tracing capabilities."""
     from repro.experiments.runner import ENGINE_MATRIX

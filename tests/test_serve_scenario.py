@@ -105,7 +105,6 @@ def test_duplicate_population_names_rejected():
 
 
 def test_bad_engine_and_policy_rejected():
-    rejects(base_raw(engine="sharded"), "scenario.engine")
     rejects(base_raw(engine="warp"), "scenario.engine")
     raw = base_raw(service={"admission": {"policy": "lifo"}})
     rejects(raw, "service.admission.policy")

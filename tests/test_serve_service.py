@@ -225,6 +225,7 @@ def test_artifacts_written(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ["fast", "sharded"])
 def test_unservable_engines_refused(engine):
+    """The retired engine names are refused before anything is built."""
     scn = load_scenario(scenario_raw())
     with pytest.raises(EngineCapabilityError) as exc:
         TrafficService(scn, engine=engine)

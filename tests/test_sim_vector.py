@@ -22,6 +22,7 @@ from repro.topology.base import Topology
 from repro.routing import (
     CCCAdaptiveRouting,
     HypercubeAdaptiveRouting,
+    HypercubeHungRouting,
     MeshAdaptiveRouting,
     ShuffleExchangeRouting,
     TorusRouting,
@@ -51,6 +52,7 @@ TOPOLOGIES = {
     "torus": (lambda: Torus((4, 4)), TorusRouting),
     "shuffle": (lambda: ShuffleExchange(4), ShuffleExchangeRouting),
     "hypercube": (lambda: Hypercube(4), HypercubeAdaptiveRouting),
+    "hung": (lambda: Hypercube(5), HypercubeHungRouting),
     "ccc": (lambda: CubeConnectedCycles(3), CCCAdaptiveRouting),
 }
 
@@ -122,9 +124,10 @@ def test_rotating_policy_identical(key):
     assert_identical(ref, vec)
 
 
-def test_small_capacity_identical():
+@pytest.mark.parametrize("key", ["torus", "hypercube"])
+def test_small_capacity_identical(key):
     ref, vec = run_both(
-        "torus",
+        key,
         lambda t: StaticInjection(5, RandomTraffic(t), make_rng(4)),
         central_capacity=1,
     )
@@ -330,6 +333,47 @@ def test_fault_observer_rejected():
         sim.add_observer(DeadlockWatchdog())
 
 
+@pytest.mark.parametrize(
+    "alg_cls", [HypercubeAdaptiveRouting, HypercubeHungRouting]
+)
+def test_auto_selects_vector_for_hypercube(alg_cls):
+    """``auto`` builds the vector engine for both hypercube two-phase
+    algorithms; occupancy sampling or a probe keeps a generic engine."""
+    from repro.experiments import HypercubeExperiment, build_simulator
+    from repro.sim import CompiledPacketSimulator
+
+    exp = HypercubeExperiment(
+        pattern="random", injection="static", seed=1, algorithm=alg_cls
+    )
+    assert type(exp.build(4, engine="auto")) is VectorSimulator
+    exp.collect_occupancy = True
+    assert type(exp.build(4, engine="auto")) is CompiledPacketSimulator
+    topo = Hypercube(3)
+    sim = build_simulator(
+        alg_cls(topo),
+        StaticInjection(1, RandomTraffic(topo), make_rng(0)),
+        engine="auto",
+        telemetry=True,
+    )
+    assert type(sim) is CompiledPacketSimulator
+
+
+@pytest.mark.parametrize("engine", ["fast", "sharded"])
+def test_retired_engine_names_rejected(monkeypatch, engine):
+    """The retired engine names are unknown names now: the error lists
+    the valid engines and the capability matrix."""
+    from repro.experiments import HypercubeExperiment
+
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    exp = HypercubeExperiment(pattern="random", injection="static", seed=1)
+    with pytest.raises(ValueError) as exc:
+        exp.build(4)
+    msg = str(exc.value)
+    for name in ("reference", "compiled", "vector"):
+        assert name in msg
+    assert "auto = vector" in msg
+
+
 def test_engine_env_override_vector(monkeypatch):
     from repro.experiments import HypercubeExperiment
 
@@ -348,27 +392,6 @@ def test_build_simulator_vector_engine():
         engine="vector",
     )
     assert type(sim) is VectorSimulator
-
-
-def test_fast_on_generic_topology_reports_engine_matrix():
-    """engine='fast' on a non-hypercube algorithm must fail with the
-    capability matrix, not a bare TypeError (ISSUE 6 satellite)."""
-    from repro.experiments import build_simulator
-
-    topo = Mesh((4, 4))
-    with pytest.raises(EngineCapabilityError) as exc:
-        build_simulator(
-            MeshAdaptiveRouting(topo),
-            StaticInjection(1, RandomTraffic(topo), make_rng(0)),
-            engine="fast",
-        )
-    msg = str(exc.value)
-    assert "MeshAdaptiveRouting" in msg
-    for engine in ("reference", "compiled", "fast", "vector"):
-        assert engine in msg
-    # EngineCapabilityError subclasses TypeError: existing callers that
-    # caught TypeError keep working.
-    assert isinstance(exc.value, TypeError)
 
 
 def test_fault_harness_falls_back_from_vector():
@@ -392,7 +415,7 @@ def test_fault_harness_falls_back_from_vector():
 # Property-style seeded identity
 # ----------------------------------------------------------------------
 @settings(
-    max_examples=10, deadline=None,
+    max_examples=12, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
@@ -413,11 +436,11 @@ def test_property_identical_static(key, packets, seed, capacity, service):
 
 
 @settings(
-    max_examples=8, deadline=None,
+    max_examples=12, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    key=st.sampled_from(["mesh", "torus", "shuffle"]),
+    key=st.sampled_from(["mesh", "torus", "shuffle", "hypercube", "hung"]),
     seed=st.integers(0, 10_000),
     rate=st.sampled_from([0.3, 0.7, 1.0]),
     policy=st.sampled_from(["paper", "rotating"]),
