@@ -16,7 +16,7 @@ The workload grid deliberately spans both regimes (see
   touches only active nodes plus one vectorized link pass; this is
   where the >=10x speedups live;
 * **saturated traffic** (``lambda = 1`` random) — the gap is smaller
-  than on sparse traffic (8.8x on hypercube n=10 in
+  than on the 4096-node sparse cells (12.4x on hypercube n=10 in
   ``BENCH_vector.json``) because both engines now spend most of a
   cycle moving packets, not skipping idle nodes.  ``auto`` picks
   ``vector`` only for the hypercube two-phase algorithms, for

@@ -30,6 +30,8 @@ Contract (see docs/ARCHITECTURE.md, "Table compilation"):
   :meth:`HopKernel.central_row`: it builds the packed rows for a whole
   batch of keys, entry fold included, or returns ``None`` to decline
   the batch — the caller then builds those rows one at a time;
+  :meth:`HopKernel.injection_rows` is the same for the injection rows
+  of a batch of fresh packets;
 * a ``compile_hops()`` implementation must return ``None`` (no kernel)
   whenever it cannot vouch for identity — unknown subclass, unexpected
   topology, inhomogeneous queue structure.  Fallback is always safe.
@@ -110,6 +112,16 @@ class HopKernel:
         """
         return None
 
+    def injection_rows(self, uis, dsts, sids):
+        """Singleton injection rows of a batch, or ``None``.
+
+        Returns ``(queues, states)``: per key, the one landing queue
+        and state of :meth:`injection_row`, entry fold included.  Only
+        a family whose every injection row has exactly one target may
+        answer; ``None`` declines the whole batch.
+        """
+        return None
+
 
 class TableHopKernel(HopKernel):
     """Generic row assembly over per-algorithm integer primitives.
@@ -138,8 +150,9 @@ class TableHopKernel(HopKernel):
     A subclass that also sets :attr:`n_ports` and implements
     :meth:`batch_candidates`, :meth:`batch_local` and
     :meth:`batch_ports` gets the batched :meth:`central_rows`: the same
-    assembly on ``(keys, candidates)`` arrays.  Any other subclass
-    declines every batch.
+    assembly on ``(keys, candidates)`` arrays; with :meth:`batch_local`
+    and :meth:`batch_inject` it gets the batched
+    :meth:`injection_rows`.  Any other subclass declines every batch.
     """
 
     #: Ports per node of the :meth:`batch_candidates` layout (0: none).
@@ -194,6 +207,11 @@ class TableHopKernel(HopKernel):
         Ports must be distinct among one node's links.
         """
         raise NotImplementedError
+
+    def batch_inject(self, uis, dsts):
+        """The one injection target (queue gid) of each fresh packet
+        ``uis[i] -> dsts[i]``, state unchanged; or ``None`` to decline."""
+        return None
 
     # -- generic row assembly ------------------------------------------
     def central_row(self, qid: int, dst_i: int, sid: int):
@@ -271,6 +289,12 @@ class TableHopKernel(HopKernel):
         return tuple(out)
 
     # -- batched row assembly ------------------------------------------
+    def injection_rows(self, uis, dsts, sids):
+        targets = self.batch_inject(uis, dsts)
+        if targets is None:
+            return None
+        return self._fold_entries(targets, dsts), sids
+
     def _slot_table(self) -> np.ndarray:
         """``(node, port, class) -> slot`` (-1: no buffer), built once.
 

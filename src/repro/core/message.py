@@ -54,10 +54,6 @@ class Message:
     #: Pure functions of the key, so they never need invalidation.
     plan_sig: Any = None
     plan: Any = None
-    #: Service-class tag for open-loop serving workloads
-    #: (`repro.serve`): engines never read it, the telemetry layer
-    #: buckets latency by it.  ``None`` for batch-experiment traffic.
-    qos: str | None = None
 
     @property
     def delivered(self) -> bool:
@@ -83,3 +79,16 @@ def reset_message_ids() -> None:
     global _msg_counter
     _msg_counter = itertools.count()
 
+
+def take_uids(k: int) -> range:
+    """Reserve the next ``k`` message ids as one consecutive block.
+
+    Engines that place packets without building :class:`Message`
+    objects draw their ids here, from the same counter
+    :func:`reset_message_ids` restarts, so a packet gets the id a
+    ``Message`` built at the same point would have got.
+    """
+    global _msg_counter
+    start = next(_msg_counter)
+    _msg_counter = itertools.count(start + k)
+    return range(start, start + k)

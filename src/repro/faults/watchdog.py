@@ -256,17 +256,17 @@ class DeadlockWatchdog(SimObserver):
         # never even enter the network.  A backlog entry is starved
         # when its node's injection pipeline is permanently parked
         # (head packet undeliverable) or its node is down.
-        backlog = getattr(sim.injection, "backlog", None)
-        if isinstance(backlog, dict):
-            for u, msgs in backlog.items():
-                if not msgs:
-                    continue
+        pending = getattr(sim.injection, "pending", None)
+        if pending is not None:
+            nodes = sim.nodes
+            for ui, dsts in pending():
+                u = nodes[ui]
                 head = sim.inj[u]
                 node_parked = u in fs.dead_nodes or (
                     head is not None and not reachable(u, head.dst)
                 )
-                for msg in msgs:
-                    if not reachable(u, msg.dst):
+                for di in dsts.tolist():
+                    if not reachable(u, nodes[di]):
                         report.backlog_unreachable += 1
                     elif node_parked:
                         report.backlog_starved += 1

@@ -286,6 +286,10 @@ class _HypercubeKernel(TableHopKernel):
             return ((ui << 1, sid),)
         return (((ui << 1) | 1, sid),)
 
+    def batch_inject(self, uis, dsts):
+        # Phase A while a 0 is left to correct, else phase B.
+        return (uis << 1) | (dsts & ~uis == 0)
+
 
 #: Exact classes the kernel vouches for -> (adaptive, oblivious).
 _KERNEL_VARIANTS = {

@@ -262,6 +262,11 @@ class _MeshKernel(TableHopKernel):
             return ((ui << 1, sid),)
         return (((ui << 1) | 1, sid),)
 
+    def batch_inject(self, uis, dsts):
+        # Phase A while a coordinate is left to increase, else phase B.
+        up = (self._coords[dsts] > self._coords[uis]).any(axis=1)
+        return (uis << 1) | ~up
+
 
 class Mesh2DRestrictedRouting(MeshRestrictedRouting):
     """Section 4's first routing function, on a 2-D mesh."""

@@ -30,13 +30,13 @@ so admission outcomes (and therefore message uids) replay exactly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable
 
 from .scenario import AdmissionConfig
 
 
 class Offer:
-    """One offered packet: where from, where to, which class."""
+    """One offered packet: where from, where to (node indices into
+    ``sim.nodes``), which class."""
 
     __slots__ = ("src", "dst", "qos", "offered_cycle")
 
@@ -53,8 +53,9 @@ class AdmissionController:
     def __init__(self, config: AdmissionConfig):
         self.config = config
         self.policy = config.policy
-        #: Per-node FIFO of deferred offers (defer / shed-by-class).
-        self.deferred: dict[Hashable, deque] = {}
+        #: Per-node FIFO of deferred offers (defer / shed-by-class),
+        #: keyed by node index in order of first deferral.
+        self.deferred: dict[int, deque] = {}
         self.deferred_total = 0
         # -- counters, all keyed by qos class ---------------------------
         self.offered: dict[str, int] = {}
@@ -97,25 +98,29 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # The per-cycle admission pass
     # ------------------------------------------------------------------
-    def admit(self, sim, cycle: int, offers: list[Offer], place) -> None:
+    def admit(self, sim, cycle: int, offers: list[Offer]) -> list[Offer]:
         """Retry deferred offers, then gate this cycle's new ones.
 
-        ``place(offer, cycle)`` actually injects (the workload driver
-        owns message construction so uids are assigned only on
-        acceptance).  Deferred offers are retried in node order of
-        first deferral, FIFO within a node — ahead of every new offer,
-        so a deferred packet can never be starved by fresh arrivals at
-        its own node.
+        Returns the accepted offers in admission order; the workload
+        driver places them (and so assigns their uids) in that order.
+        Deferred offers are retried in node order of first deferral,
+        FIFO within a node — ahead of every new offer, so a deferred
+        packet can never be starved by fresh arrivals at its own node.
         """
+        # One look at the injection queues per cycle; a node this pass
+        # fills is marked taken, so later offers there see it occupied.
+        free = sim.injection_free_mask()
+        accepted: list[Offer] = []
         if self.deferred_total:
             emptied = []
             for node, fifo in self.deferred.items():
-                if fifo and sim.injection_queue_free(node):
+                if fifo and free[node]:
                     offer = fifo.popleft()
                     self.deferred_total -= 1
                     self.defer_wait_cycles += cycle - offer.offered_cycle
                     self._count(self.accepted, offer.qos)
-                    place(offer, cycle)
+                    free[node] = False
+                    accepted.append(offer)
                 if not fifo:
                     emptied.append(node)
             for node in emptied:
@@ -125,11 +130,10 @@ class AdmissionController:
         best = self._best_deferred_priority() if shedding else None
         for offer in offers:
             self._count(self.offered, offer.qos)
-            if sim.injection_queue_free(offer.src) and not self.deferred.get(
-                offer.src
-            ):
+            if free[offer.src] and not self.deferred.get(offer.src):
                 self._count(self.accepted, offer.qos)
-                place(offer, cycle)
+                free[offer.src] = False
+                accepted.append(offer)
                 continue
             # Backpressure: the injection queue is occupied (or older
             # deferred offers at this node are still ahead in line).
@@ -156,6 +160,7 @@ class AdmissionController:
             self._count(self.deferred_count, offer.qos)
             if shedding and (best is None or prio < best):
                 best = prio
+        return accepted
 
     def cancel_backlog(self) -> int:
         """Drop every deferred offer (drain begins); returns the count.

@@ -85,7 +85,7 @@ class TrafficService:
 
         self.topology = scenario.build_topology()
         self.algorithm = scenario.build_algorithm(self.topology)
-        self.model = OpenLoopInjection(scenario, self.topology, self.algorithm)
+        self.model = OpenLoopInjection(scenario, self.topology)
         self.model.on_tick = self._on_tick
         self.probe = TelemetryProbe(
             registry=self.registry,

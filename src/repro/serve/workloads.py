@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..core.message import Message
+import numpy as np
+
 from ..sim.injection import InjectionModel
 from ..sim.rng import make_rng
-from ..sim.sampling import draw_arrivals, draw_user_count
+from ..sim.sampling import batch_drawer, draw_arrivals, draw_user_count
 from .admission import AdmissionController, Offer
 from .scenario import Population, Scenario, make_pattern
 
@@ -54,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class _PopulationState:
     """Live sampling state of one population."""
 
-    __slots__ = ("spec", "pattern", "users_rng", "arrivals_rng",
+    __slots__ = ("spec", "pattern", "draw", "users_rng", "arrivals_rng",
                  "active_users", "rate")
 
     def __init__(self, spec: Population, topology, seed: int):
@@ -64,6 +65,7 @@ class _PopulationState:
         self.pattern = make_pattern(
             spec.pattern, topology, self.arrivals_rng, spec.pattern_params
         )
+        self.draw = batch_drawer(self.pattern, list(topology.nodes()))
         self.active_users = 0
         self.rate = 0.0
 
@@ -86,10 +88,9 @@ class _PopulationState:
 class OpenLoopInjection(InjectionModel):
     """Scenario-driven open-loop injection with admission control."""
 
-    def __init__(self, scenario: Scenario, topology, algorithm):
+    def __init__(self, scenario: Scenario, topology):
         self.scenario = scenario
         self.topology = topology
-        self.algorithm = algorithm
         self.name = f"open-loop({scenario.name})"
         self.warmup = scenario.service.warmup_cycles
         self.duration = scenario.service.duration_cycles
@@ -160,29 +161,29 @@ class OpenLoopInjection(InjectionModel):
                 pop.resample(cycle, self.n_nodes)
             if pop.rate <= 0.0:
                 continue
-            for src, dst in draw_arrivals(
-                sim.nodes, pop.rate, pop.pattern, pop.arrivals_rng
-            ):
-                offers.append(Offer(src, dst, pop.spec.qos, cycle))
+            srcs, dsts = draw_arrivals(
+                self.n_nodes, pop.rate, pop.draw, pop.arrivals_rng
+            )
+            qos = pop.spec.qos
+            offers.extend(
+                Offer(src, dst, qos, cycle)
+                for src, dst in zip(srcs.tolist(), dsts.tolist())
+            )
         self.attempts += len(offers)
         self.tick_offers += len(offers)
-        self.admission.admit(sim, cycle, offers, self._place(sim))
-
-    def _place(self, sim):
-        alg = self.algorithm
-
-        def place(offer: Offer, cycle: int) -> None:
-            msg = Message(
-                src=offer.src,
-                dst=offer.dst,
-                state=alg.initial_state(offer.src, offer.dst),
-                qos=offer.qos,
-            )
-            self.uid_qos[msg.uid] = offer.qos
-            self.successes += 1
-            sim.place_in_injection_queue(offer.src, msg, cycle)
-
-        return place
+        accepted = self.admission.admit(sim, cycle, offers)
+        if not accepted:
+            return
+        # One placement per cycle, in admission order: packet ids
+        # follow that order, exactly as one placement per offer would.
+        uids = sim.place_in_injection_queue(
+            np.fromiter((o.src for o in accepted), np.int64, len(accepted)),
+            np.fromiter((o.dst for o in accepted), np.int64, len(accepted)),
+            cycle,
+        )
+        for offer, uid in zip(accepted, uids):
+            self.uid_qos[uid] = offer.qos
+        self.successes += len(accepted)
 
     def finished(self, sim: "PacketSimulator", cycle: int) -> bool:
         if not self.draining:

@@ -43,9 +43,11 @@ baseline the other engines are measured over.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Sequence
 
-from ..core.message import Message
+import numpy as np
+
+from ..core.message import Message, take_uids
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
 from ..node.arbitration import rotated
@@ -196,31 +198,61 @@ class PacketSimulator:
         self.occupancy_samples = 0
 
     # ------------------------------------------------------------------
-    # Injection-model interface
+    # Injection-model interface (docs/ARCHITECTURE.md, "Injection
+    # contract")
     # ------------------------------------------------------------------
-    def injection_queue_free(self, u: Hashable) -> bool:
-        if self.dead_nodes and u in self.dead_nodes:
-            return False  # a down node generates nothing
-        return self.inj[u] is None
+    def injection_free_mask(self) -> np.ndarray:
+        """Per node index: is its injection queue free?  A down node's
+        never is — it generates nothing."""
+        inj = self.inj
+        dead = self.dead_nodes
+        return np.fromiter(
+            (inj[u] is None and u not in dead for u in self.nodes),
+            dtype=bool,
+            count=len(self.nodes),
+        )
 
     def add_observer(self, observer) -> None:
         """Attach a cycle observer (fault injector, watchdog, ...)."""
         self.observers.append(observer)
 
     def place_in_injection_queue(
-        self, u: Hashable, msg: Message, cycle: int
-    ) -> None:
-        if self.inj[u] is not None:
-            raise RuntimeError(f"injection queue at {u} occupied")
-        msg.injected_cycle = cycle
-        if self.trace:
-            msg.hops = [QueueId(u, "inj")]
-        self.inj[u] = msg
-        self.injected_count += 1
-        self.active += 1
+        self, srcs, dsts, cycle: int, uids=None
+    ) -> Sequence[int]:
+        """Place one packet per ``(srcs[i], dsts[i])`` node-index pair.
+
+        Builds the :class:`Message` objects here, in ``srcs`` order,
+        with the algorithm's initial state.  Packet ids are ``uids``
+        when given, else a fresh block from the shared counter; the ids
+        used are returned.
+        """
+        srcs = np.asarray(srcs).tolist()
+        dsts = np.asarray(dsts).tolist()
+        if uids is None:
+            uids = take_uids(len(srcs))
+        if not srcs:
+            return uids
+        nodes = self.nodes
+        alg = self.algorithm
+        events = self._events
+        for ui, di, uid in zip(srcs, dsts, np.asarray(uids).tolist()):
+            u = nodes[ui]
+            if self.inj[u] is not None:
+                raise RuntimeError(f"injection queue at {u} occupied")
+            dst = nodes[di]
+            msg = Message(
+                src=u, dst=dst, uid=uid, state=alg.initial_state(u, dst)
+            )
+            msg.injected_cycle = cycle
+            if self.trace:
+                msg.hops = [QueueId(u, "inj")]
+            self.inj[u] = msg
+            if events is not None:
+                events.append(("inject", cycle, uid, u, dst))
+        self.injected_count += len(srcs)
+        self.active += len(srcs)
         self._last_progress = cycle
-        if self._events is not None:
-            self._events.append(("inject", cycle, msg.uid, u, msg.dst))
+        return uids
 
     # ------------------------------------------------------------------
     # One routing cycle

@@ -22,6 +22,10 @@ class LatencyStats:
     def record(self, latency: int) -> None:
         self.values.append(latency)
 
+    def record_many(self, latencies: list[int]) -> None:
+        """Record several latencies, in order."""
+        self.values.extend(latencies)
+
     @property
     def count(self) -> int:
         return len(self.values)

@@ -18,55 +18,76 @@ the distribution family.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Sequence
+from typing import Callable, Hashable
 
 import numpy as np
 
-from .traffic import TrafficPattern
+from .traffic import TrafficPattern, draw_loop
+
+#: ``draw(src_idx, rng) -> dst_idx``: a batched destination draw.
+BatchDraw = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 #: Distribution names accepted for user-count sampling.
 USER_DISTRIBUTIONS = ("poisson", "normal", "log_normal")
 
 
 def bernoulli_fires(
-    nodes: Sequence[Hashable], rate: float, rng: np.random.Generator
-) -> Sequence[Hashable]:
-    """Nodes that attempt an injection this cycle (Bernoulli(rate) each).
+    n_nodes: int, rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Indices of the nodes that attempt an injection this cycle
+    (Bernoulli(rate) each), ascending.
 
     ``rate >= 1`` short-circuits to *every* node without consuming any
     RNG, matching the saturated fast path the paper's ``lambda = 1``
-    runs always took; otherwise exactly one ``rng.random(len(nodes))``
+    runs always took; otherwise exactly one ``rng.random(n_nodes)``
     vector is drawn, preserving :class:`DynamicInjection`'s historical
     draw sequence byte for byte.
     """
     if rate >= 1.0:
-        return nodes
+        return np.arange(n_nodes)
     if rate <= 0.0:
-        return ()
-    draws = rng.random(len(nodes))
-    return [u for u, x in zip(nodes, draws) if x < rate]
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(rng.random(n_nodes) < rate)
 
 
 def draw_arrivals(
-    nodes: Sequence[Hashable],
+    n_nodes: int,
     rate: float,
-    pattern: TrafficPattern,
+    draw: BatchDraw,
     rng: np.random.Generator,
-) -> list[tuple[Hashable, Hashable]]:
-    """One cycle of seeded ``(source, destination)`` arrival offers.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One cycle of seeded arrival offers as ``(srcs, dsts)`` node-index
+    arrays, in firing-node order.
 
-    Destinations are drawn in firing-node order (one ``pattern.draw``
-    per firing node, after the single Bernoulli vector), which is the
-    exact RNG consumption order of the closed-loop model.  Fixed points
-    (``dst == src``) are filtered out here — patterns return them to
-    mean "this node stays silent".
+    Destinations come from one batched ``draw`` (see
+    :func:`batch_drawer`) over the firing nodes, after the single
+    Bernoulli vector: the RNG stream of one ``pattern.draw`` per firing
+    node, which is the closed-loop model's historical consumption
+    order.  Fixed points (``dst == src``) are filtered out here —
+    patterns return them to mean "this node stays silent".
     """
-    offers = []
-    for u in bernoulli_fires(nodes, rate, rng):
-        dst = pattern.draw(u, rng)
-        if dst != u:
-            offers.append((u, dst))
-    return offers
+    srcs = bernoulli_fires(n_nodes, rate, rng)
+    dsts = draw(srcs, rng)
+    keep = dsts != srcs
+    return srcs[keep], dsts[keep]
+
+
+def batch_drawer(pattern, nodes: list[Hashable]) -> BatchDraw:
+    """The batched destination draw of ``pattern`` over ``nodes``.
+
+    ``pattern.draw_batch`` when the pattern is a
+    :class:`~repro.sim.traffic.TrafficPattern` over exactly these
+    nodes in this order (its indices are then the simulator's);
+    otherwise — any other node order, or a duck-typed pattern with
+    only ``draw`` — the scalar ``draw`` loop over ``nodes``.
+    """
+    if (
+        isinstance(pattern, TrafficPattern)
+        and getattr(pattern, "nodes", None) == nodes
+    ):
+        return pattern.draw_batch
+    index = {u: i for i, u in enumerate(nodes)}
+    return lambda src_idx, rng: draw_loop(pattern, nodes, index, src_idx, rng)
 
 
 def draw_user_count(

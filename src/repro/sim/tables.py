@@ -32,7 +32,9 @@ compiled engine trusts):
 * :meth:`entry_row` — where a packet nominally heading for a queue
   actually lands after the entry fold;
 * :meth:`injection_row` — resolved injection targets in the reference
-  engine's ``sorted(targets)`` order.
+  engine's ``sorted(targets)`` order; :meth:`injection_rows` resolves
+  a whole placement batch (closed form for the hypercube and mesh
+  kernels, which leave no memo entries).
 
 The batched engine reads central rows by *row id* through
 :meth:`central_rids`, which builds all of a call's missing rows at once
@@ -175,6 +177,15 @@ class RoutingTables:
         self._entry: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._inject: dict[tuple[int, int, int], tuple] = {}
         self._init_rows()
+        #: Initial state id of every fresh packet when the algorithm
+        #: keeps the base (stateless) ``initial_state``; else ``None``
+        #: and :meth:`initial_sids` interns per ``(src, dst)`` pair.
+        self._const_init_sid: int | None = (
+            self.state_id(None)
+            if type(algorithm).initial_state is RoutingAlgorithm.initial_state
+            else None
+        )
+        self._init_sids: dict[tuple[int, int], int] = {}
 
         # ---- compiled hop kernel (optional fast path) ------------------
         #: The algorithm's integer hop kernel, or ``None`` (plan-cache
@@ -206,6 +217,24 @@ class RoutingTables:
             sid = self._state_ids[state] = len(self.states)
             self.states.append(state)
         return sid
+
+    def initial_sids(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """State ids of fresh packets ``srcs[i] -> dsts[i]`` (node
+        indices): ``initial_state`` interned once per distinct pair."""
+        if self._const_init_sid is not None:
+            return np.full(len(srcs), self._const_init_sid, dtype=np.int64)
+        memo = self._init_sids
+        nodes = self.nodes
+        init = self.algorithm.initial_state
+        out = []
+        for key in zip(srcs.tolist(), dsts.tolist()):
+            sid = memo.get(key)
+            if sid is None:
+                sid = memo[key] = self.state_id(
+                    init(nodes[key[0]], nodes[key[1]])
+                )
+            out.append(sid)
+        return np.asarray(out, dtype=np.int64)
 
     @property
     def size(self) -> int:
@@ -540,6 +569,31 @@ class RoutingTables:
                 )
             self._entry[key] = row
         return row
+
+    def injection_rows(
+        self, uis: np.ndarray, dsts: np.ndarray, sids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Landing ``(queues, states)`` of a batch of fresh packets.
+
+        Where a key's :meth:`injection_row` has exactly one target,
+        that target; ``-1`` / ``0`` where it has none or several (the
+        engine then walks the row at read time).  The kernel's batched
+        ``injection_rows`` answers in closed form and leaves no memo
+        entries; otherwise every key goes through the memoized
+        :meth:`injection_row`, so each distinct key is built once.
+        """
+        if self.kernel is not None:
+            built = self.kernel.injection_rows(uis, dsts, sids)
+            if built is not None:
+                return built
+        queues = np.full(len(uis), -1, dtype=np.int64)
+        states = np.zeros(len(uis), dtype=np.int64)
+        keys = zip(uis.tolist(), dsts.tolist(), sids.tolist())
+        for i, key in enumerate(keys):
+            row = self.injection_row(*key)
+            if len(row) == 1:
+                queues[i], states[i] = row[0]
+        return queues, states
 
     def injection_row(self, ui: int, dst_i: int, sid: int) -> tuple:
         """Resolved injection targets: ``((queue_id, state_id), ...)``

@@ -2,10 +2,12 @@
 
 :class:`VectorSimulator` executes the paper's Section-7.1 routing cycle
 over the integer tables of :class:`~repro.sim.tables.RoutingTables`:
-messages live in parallel int arrays (destination, state id, resolved
-entry queue, injection cycle), central queues are rows of one int
-matrix, link buffers are numpy int arrays holding message indices, and
-all three phases of the cycle have batched numpy forms:
+messages live in parallel int arrays (destination, state id, uid,
+resolved entry queue, injection cycle; no ``Message`` objects, and
+each cycle's injections arrive as one columnar batch), central queues
+are rows of one int matrix, link buffers are numpy int arrays holding
+message indices, and all three phases of the cycle have batched numpy
+forms:
 
 * the **fill phase** sweeps all busy nodes at once, one
   ``(position, queue-kind)`` step at a time: a single
@@ -70,7 +72,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..core.message import Message
+from ..core.message import take_uids
 from ..core.routing_function import RoutingAlgorithm
 from .engine import CycleLimitExceeded, DeadlockError
 from .injection import InjectionModel
@@ -182,18 +184,18 @@ class VectorSimulator:
 
         # Parallel per-message storage (index = registration order).
         # Numpy columns for the batch paths; python lists where only
-        # the python paths touch them.
+        # the python paths touch them.  No Message objects: a packet is
+        # its index into these columns.
         self._mn = 0
         cap0 = 1024
         self._mdst = np.empty(cap0, dtype=np.int64)
         self._mstate = np.empty(cap0, dtype=np.int64)
         self._minj = np.empty(cap0, dtype=np.int64)
+        self._muid = np.empty(cap0, dtype=np.int64)
         # Entry queue/state the message will request on arrival —
         # resolved at hop time (external moves) or injection time.
         self._ment_q = np.empty(cap0, dtype=np.int64)
         self._ment_st = np.empty(cap0, dtype=np.int64)
-        self._mobj: list[Message] = []
-        self._muid: list[int] = []
         self._msig_q: list[int] = []
         self._msig_st: list[int] = []
         self._mrow: list[tuple | None] = []
@@ -201,6 +203,9 @@ class VectorSimulator:
         # batched read cannot replay the multi-target retry loop, so
         # reads stay on the sparse path from then on.
         self._inj_multi = False
+        # Packets delivered in this cycle's fill phase, in sweep order;
+        # their statistics are booked once per cycle (_deliver).
+        self._delivered: list[int] = []
 
         #: Hybrid dispatch floors: batch phases win once this many
         #: nodes (fill) / buffered messages (read) act in one cycle.
@@ -261,54 +266,84 @@ class VectorSimulator:
         buf[:, : old.shape[1]] = old
         self._qbuf = buf
 
-    def _grow_msgs(self) -> None:
-        cap = self._mdst.size * 2
-        for name in ("_mdst", "_mstate", "_minj", "_ment_q", "_ment_st"):
+    def _grow_msgs(self, need: int) -> None:
+        cap = self._mdst.size
+        while cap < need:
+            cap *= 2
+        for name in (
+            "_mdst", "_mstate", "_minj", "_muid", "_ment_q", "_ment_st"
+        ):
             col = getattr(self, name)
             grown = np.empty(cap, dtype=np.int64)
             grown[: col.size] = col
             setattr(self, name, grown)
 
     # ------------------------------------------------------------------
-    # Injection-model interface
+    # Injection-model interface (docs/ARCHITECTURE.md, "Injection
+    # contract")
     # ------------------------------------------------------------------
-    def injection_queue_free(self, u: Hashable) -> bool:
-        return bool(self._inj[self._nid[u]] == -1)
+    def injection_free_mask(self) -> np.ndarray:
+        """Per node index: is its injection queue free (and the node up)?"""
+        free = self._inj == -1
+        if self.dead_nodes:
+            free[[self._nid[u] for u in self.dead_nodes]] = False
+        return free
 
-    def place_in_injection_queue(
-        self, u: Hashable, msg: Message, cycle: int
-    ) -> None:
-        ui = self._nid[u]
-        if self._inj[ui] != -1:
+    def place_in_injection_queue(self, srcs, dsts, cycle: int, uids=None):
+        """Place one packet per ``(srcs[i], dsts[i])`` node-index pair.
+
+        Same contract as :meth:`PacketSimulator.place_in_injection_queue`,
+        but no :class:`~repro.core.message.Message` is built: the
+        packets go straight into the message columns, with their
+        initial states and injection rows resolved for the whole batch.
+        """
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        m = srcs.size
+        if uids is None:
+            uids = take_uids(m)
+        if not m:
+            return uids
+        mi0 = self._mn
+        mis = np.arange(mi0, mi0 + m)
+        inj = self._inj
+        busy = inj[srcs] != -1
+        if busy.any():
+            u = self.nodes[int(srcs[np.argmax(busy)])]
             raise RuntimeError(f"injection queue at {u} occupied")
-        msg.injected_cycle = cycle
-        mi = self._mn
-        if mi == self._mdst.size:
-            self._grow_msgs()
-        self._mobj.append(msg)
-        self._muid.append(msg.uid)
-        dst_i = self._nid[msg.dst]
-        sid = self.tables.state_id(msg.state)
-        self._mdst[mi] = dst_i
-        self._mstate[mi] = sid
-        self._minj[mi] = cycle
-        self._msig_q.append(-1)
-        self._msig_st.append(-1)
-        self._mrow.append(None)
-        row = self.tables.injection_row(ui, dst_i, sid)
-        if len(row) == 1:
-            self._ment_q[mi], self._ment_st[mi] = row[0]
-        else:
-            self._ment_q[mi] = -1
-            self._ment_st[mi] = 0
+        inj[srcs] = mis
+        if (inj[srcs] != mis).any():
+            inj[srcs] = -1
+            raise RuntimeError("two packets placed at one node in one call")
+        if mi0 + m > self._mdst.size:
+            self._grow_msgs(mi0 + m)
+        t = self.tables
+        sids = t.initial_sids(srcs, dsts)
+        entq, entst = t.injection_rows(srcs, dsts, sids)
+        new = slice(mi0, mi0 + m)
+        self._mdst[new] = dsts
+        self._mstate[new] = sids
+        self._minj[new] = cycle
+        self._muid[new] = uids
+        self._ment_q[new] = entq
+        self._ment_st[new] = entst
+        if not self._inj_multi and (entq < 0).any():
             self._inj_multi = True
-        self._mn = mi + 1
-        self._inj[ui] = mi
-        self.injected_count += 1
-        self.active += 1
+        fresh = [-1] * m
+        self._msig_q.extend(fresh)
+        self._msig_st.extend(fresh)
+        self._mrow.extend([None] * m)
+        self._mn = mi0 + m
+        self.injected_count += m
+        self.active += m
         self._last_progress = cycle
         if self._recording:
-            self._ev_inject.extend((cycle, mi, ui))
+            ev = np.empty((m, 3), dtype=np.int64)
+            ev[:, 0] = cycle
+            ev[:, 1] = mis
+            ev[:, 2] = srcs
+            self._ev_inject.extend(ev.ravel().tolist())
+        return uids
 
     # ------------------------------------------------------------------
     # One routing cycle
@@ -329,6 +364,9 @@ class VectorSimulator:
             else:
                 for ui in busy.tolist():
                     self._fill_node(ui, cycle)
+            if self._delivered:
+                self._deliver(self._delivered, cycle)
+                self._delivered = []
         self._read_inputs(cycle)
         self._link_cycle(cycle)
         if self.collect_occupancy and cycle % self.occupancy_sample_every == 0:
@@ -478,13 +516,14 @@ class VectorSimulator:
         queue_node = t.queue_node
         row_internal = t.row_internal
         recording = self._recording
+        delivered = self._delivered
         for qid, pos, mi, rid in pending:
             for action, tq, tst in row_internal[rid]:
                 if action == DELIVER_STEP:
                     self._qbuf[qid, pos] = -1
                     qcount[qid] -= 1
                     self._load[queue_node[qid]] -= 1
-                    self._deliver(mi, cycle)
+                    delivered.append(mi)
                     break
                 if action == SELF_STEP:
                     mstate[mi] = tst
@@ -632,7 +671,7 @@ class VectorSimulator:
                     removed.setdefault(qid, []).append(pos)
                     delta[qid] = delta.get(qid, 0) - 1
                     load_delta -= 1
-                    self._deliver(mi, cycle)
+                    self._delivered.append(mi)
                     break
                 if action == SELF_STEP:
                     mstate[mi] = tst
@@ -809,9 +848,14 @@ class VectorSimulator:
             for _rank, s in items:
                 if s == -1:  # the injection buffer
                     mi = int(inj[ui])
-                    for tq, tst in injection_row(
-                        ui, int(mdst[mi]), int(mstate[mi])
-                    ):
+                    tq = int(ment_q[mi])
+                    if tq >= 0:  # singleton row, resolved at placement
+                        row = ((tq, int(ment_st[mi])),)
+                    else:
+                        row = injection_row(
+                            ui, int(mdst[mi]), int(mstate[mi])
+                        )
+                    for tq, tst in row:
                         if qcount[tq] < cap:
                             mstate[mi] = tst
                             end = int(qlen[tq])
@@ -877,17 +921,20 @@ class VectorSimulator:
             self._last_progress = cycle
 
     # -- delivery and stats -------------------------------------------------
-    def _deliver(self, mi: int, cycle: int) -> None:
-        msg = self._mobj[mi]
-        msg.delivered_cycle = cycle
-        self.delivered_count += 1
-        self.active -= 1
+    def _deliver(self, mis: list[int], cycle: int) -> None:
+        """Book one cycle's deliveries (``mis`` in sweep order)."""
+        k = len(mis)
+        self.delivered_count += k
+        self.active -= k
         self._last_progress = cycle
         if self._recording:
-            self._ev_deliver.extend((cycle, mi))
-        injected = int(self._minj[mi])
-        if injected >= self.measure_from:
-            self.latency.record(cycle - injected)
+            ev = np.empty((k, 2), dtype=np.int64)
+            ev[:, 0] = cycle
+            ev[:, 1] = mis
+            self._ev_deliver.extend(ev.ravel().tolist())
+        injected = self._minj[mis]
+        measured = injected[injected >= self.measure_from]
+        self.latency.record_many((cycle - measured).tolist())
 
     def _queue_lengths(self) -> np.ndarray:
         return self._qcount.copy()
@@ -948,7 +995,7 @@ class VectorSimulator:
         """
         t = self.tables
         nodes = t.nodes
-        muid = self._muid
+        muid = self._muid[: self._mn].tolist()
         mdst = self._mdst[: self._mn].tolist()
         minj = self._minj[: self._mn].tolist()
         qkind = t.queue_kind

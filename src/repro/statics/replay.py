@@ -16,9 +16,8 @@ not a modeling artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
 
-from ..core.message import Message
+from ..core.message import take_uids
 from ..core.routing_function import RoutingAlgorithm
 from ..sim.engine import DeadlockError, PacketSimulator
 from ..sim.injection import InjectionModel
@@ -39,31 +38,28 @@ class WitnessReplayInjection(InjectionModel):
         self.witness = witness
         self.packets_per_row = packets_per_row
         self.name = f"witness-replay(x{packets_per_row})"
-        self.backlog: dict[Hashable, list[Message]] = {}
+        #: Per source node index: ``(dst index, uid)`` stack, last
+        #: generated on top.
+        self.backlog: dict[int, list[tuple[int, int]]] = {}
         self.total = 0
 
     def setup(self, sim: PacketSimulator) -> None:
-        alg = sim.algorithm
+        index = {u: i for i, u in enumerate(sim.nodes)}
         self.backlog = {}
-        self.total = 0
+        self.total = len(self.witness.rows) * self.packets_per_row
+        uids = iter(take_uids(self.total))
         for row in self.witness.rows:
-            src = row.queue.node
-            msgs = self.backlog.setdefault(src, [])
+            stack = self.backlog.setdefault(index[row.queue.node], [])
             for _ in range(self.packets_per_row):
-                msgs.append(
-                    Message(
-                        src=src,
-                        dst=row.dst,
-                        state=alg.initial_state(src, row.dst),
-                    )
-                )
-                self.total += 1
+                stack.append((index[row.dst], next(uids)))
 
     def attempt(self, sim: PacketSimulator, cycle: int) -> None:
-        for u in sim.nodes:
-            backlog = self.backlog.get(u)
-            if backlog and sim.injection_queue_free(u):
-                sim.place_in_injection_queue(u, backlog.pop(), cycle)
+        free = sim.injection_free_mask()
+        srcs = [u for u, stack in self.backlog.items() if stack and free[u]]
+        if srcs:
+            srcs.sort()  # node order, like a scan over sim.nodes
+            dsts, uids = zip(*(self.backlog[u].pop() for u in srcs))
+            sim.place_in_injection_queue(srcs, dsts, cycle, uids=uids)
 
     def finished(self, sim: PacketSimulator, cycle: int) -> bool:
         return sim.delivered_count >= self.total

@@ -1,28 +1,31 @@
 """Admission-control policies (`repro.serve.admission`).
 
 Exercised against a stub "simulator" exposing only what the controller
-reads — ``injection_queue_free(node)`` — so each policy's decision
-table is tested in isolation from any engine.
+reads — ``injection_free_mask()`` — so each policy's decision table is
+tested in isolation from any engine.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.serve.admission import AdmissionController, Offer
 from repro.serve.scenario import AdmissionConfig
 
 
 class StubSim:
-    """Injection queues as a plain set of free nodes.
+    """Injection queues as a plain set of free node indices.
 
     Like the real engines' size-1 injection queues, a placement
-    occupies the node's queue for the rest of the cycle.
+    occupies the node's queue until the stub is told otherwise.
     """
 
-    def __init__(self, free=()):
+    def __init__(self, free=(), n_nodes=8):
         self.free = set(free)
+        self.n_nodes = n_nodes
 
-    def injection_queue_free(self, u):
-        return u in self.free
+    def injection_free_mask(self):
+        return np.isin(np.arange(self.n_nodes), sorted(self.free))
 
     def occupy(self, u):
         self.free.discard(u)
@@ -33,14 +36,10 @@ def controller(**kwargs) -> AdmissionController:
 
 
 def collect_placements(ctrl, sim, cycle, offers):
-    placed = []
-
-    def place(o, c):
+    placed = ctrl.admit(sim, cycle, offers)
+    for o in placed:  # what the workload driver's placement does
         sim.occupy(o.src)
-        placed.append((o, c))
-
-    ctrl.admit(sim, cycle, offers, place)
-    return placed
+    return [(o, cycle) for o in placed]
 
 
 def offer(src, qos="default", cycle=0):

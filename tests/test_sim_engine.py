@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import Message
 from repro.routing import (
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
@@ -32,14 +31,11 @@ class SingleMessage(InjectionModel):
         self.sent = False
 
     def attempt(self, sim, cycle):
-        if not self.sent and sim.injection_queue_free(self.src):
-            alg = sim.algorithm
-            msg = Message(
-                src=self.src,
-                dst=self.dst,
-                state=alg.initial_state(self.src, self.dst),
+        src = sim.nodes.index(self.src)
+        if not self.sent and sim.injection_free_mask()[src]:
+            sim.place_in_injection_queue(
+                [src], [sim.nodes.index(self.dst)], cycle
             )
-            sim.place_in_injection_queue(self.src, msg, cycle)
             self.sent = True
 
     def finished(self, sim, cycle):

@@ -281,6 +281,35 @@ def test_batched_rows_match_per_row_and_plan_cache(data, dense):
     assert per_row._batch_rows == symbolic._batch_rows == 0
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_injection_rows_match_per_key_and_plan_cache(data):
+    _, cls, topo = data.draw(st.sampled_from(BATCHED_ALGS), label="alg")
+    alg = cls(topo())
+    batch = RoutingTables(alg)
+    symbolic = RoutingTables(alg, use_kernel=False)
+    for tab in (batch, symbolic):
+        tab.state_id(("carried", 1))  # kernels must pass states through
+    n = len(batch.nodes)
+    keys = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([batch.state_id(None), 1]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        label="keys",
+    )
+    uis, dsts, sids = (np.array(col, dtype=np.int64) for col in zip(*keys))
+    queues, states = batch.injection_rows(uis, dsts, sids)
+    assert not batch._inject and not batch._entry  # no memo entries
+    for key, q, st_ in zip(keys, queues.tolist(), states.tolist()):
+        assert ((q, st_),) == symbolic.injection_row(*key), key
+
+
 def test_non_closed_form_kernels_decline_batches():
     """Every other family keeps the per-row path."""
     for name in ("torus", "ccc"):
@@ -293,6 +322,8 @@ def test_non_closed_form_kernels_decline_batches():
             tab.n_queues, tab.state_id(alg.initial_state(*tab.nodes[:2]))
         )
         assert tab.kernel.central_rows(qids, dsts, sids) is None
+        us = np.arange(len(tab.nodes), dtype=np.int64)
+        assert tab.kernel.injection_rows(us, us[::-1], sids[us]) is None
         tab.central_rids(qids, dsts, sids)
         assert tab._batch_rows == 0
         assert len(tab._central) == tab.rows_packed == tab.n_queues

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.message import Message, reset_message_ids
+from repro.core.message import reset_message_ids
 from repro.core.queues import QueueId, deliver
 from repro.core.routing_function import RoutingAlgorithm
 from repro.topology.base import Topology
@@ -221,13 +221,8 @@ class _AtDestination(InjectionModel):
 
     def attempt(self, sim, cycle):
         if not self.placed:
-            alg = sim.algorithm
-            msg = Message(
-                src=self.node,
-                dst=self.node,
-                state=alg.initial_state(self.node, self.node),
-            )
-            sim.place_in_injection_queue(self.node, msg, cycle)
+            ui = sim.nodes.index(self.node)
+            sim.place_in_injection_queue([ui], [ui], cycle)
             self.placed = True
 
     def finished(self, sim, cycle):

@@ -8,15 +8,27 @@ latency-multiset equality): every inject/enqueue/hop/deliver must land
 on the same packet at the same cycle with the same queue.
 """
 
+import hashlib
+
 import pytest
 
 from repro.faults import FaultSchedule, link_down, link_stall, node_down
 from repro.faults.experiments import make_fault_simulator
-from repro.routing import HypercubeAdaptiveRouting, Mesh2DAdaptiveRouting
-from repro.sim import RandomTraffic, StaticInjection, make_rng
+from repro.routing import (
+    HypercubeAdaptiveRouting,
+    Mesh2DAdaptiveRouting,
+    TorusRouting,
+)
+from repro.sim import (
+    DynamicInjection,
+    HotspotTraffic,
+    RandomTraffic,
+    StaticInjection,
+    make_rng,
+)
 from repro.core.message import reset_message_ids
 from repro.telemetry import TelemetryProbe, read_jsonl
-from repro.topology import Hypercube, Mesh2D
+from repro.topology import Hypercube, Mesh2D, Torus
 
 FAMILIES = {
     "hypercube": (lambda: Hypercube(4), HypercubeAdaptiveRouting),
@@ -171,6 +183,60 @@ def test_vector_event_log_byte_identical(key):
     assert ref.log.to_jsonl() == vec.log.to_jsonl()
     assert _measured(ref.summary) == _measured(vec.summary)
     assert vres.telemetry == vec.summary
+
+
+#: Canonical-JSONL sha256 per case.  Every engine must produce these
+#: exact bytes: a change to packet ids, RNG consumption or event order
+#: in any engine's injection path shows up here.
+PINNED = {
+    "hypercube-static3-random": (
+        lambda: HypercubeAdaptiveRouting(Hypercube(4)),
+        lambda topo: StaticInjection(3, RandomTraffic(topo), make_rng(3)),
+        "98060c933ebc1514ea9881b0d43d6ab543f2c83cff4aa9b260fc46db94d904cf",
+    ),
+    "mesh-dynamic0.5-random": (
+        lambda: Mesh2DAdaptiveRouting(Mesh2D(4)),
+        lambda topo: DynamicInjection(
+            0.5, RandomTraffic(topo), make_rng(3), duration=60, warmup=10
+        ),
+        "3ac8bdf5dc84a50904e192df4cc29d61293dc4e2b95811fc5f17a7f2ddc14ab8",
+    ),
+    # The scalar-fallback pattern on a family whose injection rows are
+    # built per key.
+    "torus-dynamic0.5-hotspot0.2": (
+        lambda: TorusRouting(Torus((4, 4))),
+        lambda topo: DynamicInjection(
+            0.5,
+            HotspotTraffic(topo, fraction=0.2),
+            make_rng(3),
+            duration=60,
+            warmup=10,
+        ),
+        "1d87cbb29144f0d856a4042bc6a82f2513797d443fffcbecc142fc1c9778c147",
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["reference", "compiled", "vector"])
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_event_log_matches_pinned_hash(case, engine):
+    from repro.sim import CompiledPacketSimulator, PacketSimulator
+    from repro.sim.vector import VectorSimulator
+
+    engine_cls = {
+        "reference": PacketSimulator,
+        "compiled": CompiledPacketSimulator,
+        "vector": VectorSimulator,
+    }[engine]
+    build_alg, build_model, digest = PINNED[case]
+    reset_message_ids()
+    alg = build_alg()
+    probe = TelemetryProbe()
+    sim = engine_cls(alg, build_model(alg.topology))
+    probe.attach(sim)
+    sim.run(max_cycles=500_000)
+    jsonl = probe.log.to_jsonl().encode()
+    assert hashlib.sha256(jsonl).hexdigest() == digest
 
 
 def test_vector_metrics_only_probe_matches_event_replay():
