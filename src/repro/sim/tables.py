@@ -577,7 +577,9 @@ class RoutingTables:
 
         Where a key's :meth:`injection_row` has exactly one target,
         that target; ``-1`` / ``0`` where it has none or several (the
-        engine then walks the row at read time).  The kernel's batched
+        vector engine's read pass then walks the row in order and
+        picks the first queue that still has room, or leaves the
+        packet in its injection buffer).  The kernel's batched
         ``injection_rows`` answers in closed form and leaves no memo
         entries; otherwise every key goes through the memoized
         :meth:`injection_row`, so each distinct key is built once.

@@ -15,10 +15,9 @@ compilation hook, ``docs/ARCHITECTURE.md``):
   row, in both row-id modes, and the fault adapter must never serve a
   batched row under an active fault.
 * **Saturated identity** — at ``lambda = 1`` the batched vector node
-  cycle (fill sweep + lexsort read admission forced on) must produce
+  cycle (fill sweep + lexsort read admission) must produce
   byte-identical canonical event logs and equal latency multisets
-  against the reference engine on all five topology families, and the
-  batch/sparse dispatch itself must be output-invariant.
+  against the reference engine on all five topology families.
 """
 
 import zlib
@@ -383,7 +382,6 @@ def test_size_and_memory_count_batched_rows_honestly():
         1.0, RandomTraffic(topo), make_rng(3), duration=60
     )
     sim = VectorSimulator(alg, model)
-    sim.batch_fill_min = 1  # every fill goes through central_rids
     sim.run(max_cycles=100_000)
     tab = sim.tables
     assert tab._batch_rows > 0
@@ -417,7 +415,7 @@ TOPOLOGIES = {
 }
 
 
-def _instrumented_run(key, engine, batch: bool | None = None, seed=11):
+def _instrumented_run(key, engine, seed=11):
     build, alg_cls = TOPOLOGIES[key]
     reset_message_ids()
     topo = build()
@@ -426,16 +424,9 @@ def _instrumented_run(key, engine, batch: bool | None = None, seed=11):
         1.0, RandomTraffic(topo), make_rng(seed), duration=80
     )
     probe = TelemetryProbe()
-    if engine == "reference":
-        sim = PacketSimulator(alg, model)
-    else:
-        sim = VectorSimulator(alg, model)
-        if batch is True:  # force the batched fill + read paths
-            sim.batch_fill_min = 1
-            sim.batch_read_min = 1
-        elif batch is False:  # force the sparse per-node paths
-            sim.batch_fill_min = 10**9
-            sim.batch_read_min = 10**9
+    sim = (PacketSimulator if engine == "reference" else VectorSimulator)(
+        alg, model
+    )
     probe.attach(sim)
     result = sim.run(max_cycles=200_000)
     return probe, result
@@ -444,24 +435,12 @@ def _instrumented_run(key, engine, batch: bool | None = None, seed=11):
 @pytest.mark.parametrize("key", sorted(TOPOLOGIES))
 def test_saturated_batched_event_logs_byte_identical(key):
     ref_p, ref_r = _instrumented_run(key, "reference")
-    vec_p, vec_r = _instrumented_run(key, "vector", batch=True)
+    vec_p, vec_r = _instrumented_run(key, "vector")
     assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
     assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
     assert ref_r.cycles == vec_r.cycles
     assert ref_r.injected == vec_r.injected
     assert ref_r.delivered == vec_r.delivered
-
-
-@pytest.mark.parametrize("key", sorted(TOPOLOGIES))
-def test_batch_sparse_dispatch_invariant(key):
-    """The hybrid dispatch threshold never changes observable output."""
-    a_p, a_r = _instrumented_run(key, "vector", batch=True)
-    b_p, b_r = _instrumented_run(key, "vector", batch=False)
-    assert a_p.log.to_jsonl() == b_p.log.to_jsonl()
-    assert a_r.latency.values == b_r.latency.values or sorted(
-        a_r.latency.values
-    ) == sorted(b_r.latency.values)
-    assert a_r.cycles == b_r.cycles
 
 
 SATURATED_BATCHED = {
